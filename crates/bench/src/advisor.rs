@@ -4,7 +4,7 @@
 //!
 //! The grid crosses operation-mix presets × key distributions × scales;
 //! every cell runs the full standard suite through
-//! [`run_suite_stream`] and ingests the resulting [`RumReport`]s into a
+//! [`run_suite`] and ingests the resulting [`RumReport`]s into a
 //! [`ProfileStore`]. For each canonical mix the experiment then asks the
 //! analytic wizard and the measured advisor the same unconstrained
 //! question and reports:
@@ -137,7 +137,7 @@ pub fn run(config: &AdvisorConfig) -> AdvisorRun {
                     ..Default::default()
                 };
                 eprintln!("[advisor] n={scale} dist={dname} mix={mname} ...");
-                let reports = run_suite_stream(&mut rum::standard_suite(), &spec, config.threads)
+                let reports = run_suite(&mut rum::standard_suite(), &spec, config.threads)
                     .unwrap_or_else(|e| panic!("grid cell failed: {e}"));
                 store.ingest(&spec, &reports);
             }

@@ -66,7 +66,7 @@ pub fn spec_label(spec: &WorkloadSpec) -> String {
 /// Measure the current tree's baseline triples.
 pub fn measure(threads: usize) -> Baseline {
     let spec = smoke_spec();
-    let reports = run_suite_stream(&mut rum::standard_suite(), &spec, threads)
+    let reports = run_suite(&mut rum::standard_suite(), &spec, threads)
         .unwrap_or_else(|e| panic!("baseline suite run failed: {e}"));
     let methods = reports
         .into_iter()

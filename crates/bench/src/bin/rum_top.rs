@@ -31,7 +31,7 @@ use std::time::Duration;
 use rum::prelude::*;
 use rum_bench::{baseline, obs, trace};
 use rum_core::metrics::{MetricsPlane, OpClass};
-use rum_core::runner::run_stream_metered;
+use rum_core::runner::run_stream_traced;
 use rum_core::trace::TraceCollector;
 use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 
@@ -363,11 +363,11 @@ fn main() {
             let sink = driver_plane.sink();
             method.set_trace_sink(sink.clone());
             let mut collector = TraceCollector::new(window, sink);
-            let report = run_stream_metered(
+            let report = run_stream_traced(
                 method.as_mut(),
                 OpStream::new(&spec),
                 &mut collector,
-                &driver_plane,
+                Some(&driver_plane),
             );
             let _ = tx.send(report);
         })

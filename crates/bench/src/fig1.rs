@@ -47,7 +47,7 @@ pub fn run_with_threads(
         seed,
         ..Default::default()
     };
-    run_suite_stream(&mut rum::standard_suite(), &spec, threads)
+    run_suite(&mut rum::standard_suite(), &spec, threads)
         .unwrap_or_else(|e| panic!("suite run failed: {e}"))
         .into_iter()
         .map(|report| {

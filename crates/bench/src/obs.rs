@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rum::prelude::*;
 use rum_core::metrics::{DebtSnapshot, MetricsPlane, OpClass};
-use rum_core::runner::{run_stream, run_stream_metered};
+use rum_core::runner::{run_stream, run_stream_traced};
 use rum_core::trace::TraceCollector;
 
 use crate::trace::find_method;
@@ -85,11 +85,11 @@ pub fn run_method(name: &str, cfg: &ObsConfig) -> Result<MethodObs> {
     let sink = plane.sink();
     method.set_trace_sink(sink.clone());
     let mut trace = TraceCollector::new(cfg.window, sink);
-    let report = run_stream_metered(
+    let report = run_stream_traced(
         method.as_mut(),
         OpStream::new(&cfg.spec()),
         &mut trace,
-        &plane,
+        Some(&plane),
     )?;
     let totals = method.tracker().snapshot();
     let debt = plane.ledger().snapshot();
@@ -198,7 +198,7 @@ pub struct EquivalenceRow {
 
 /// Drive every standard-suite method twice over the same stream — once
 /// plain ([`run_stream`]), once under a full metrics plane with its sink
-/// installed ([`run_stream_metered`]) — and compare the measured
+/// installed ([`run_stream_traced`] with a plane) — and compare the measured
 /// results. `identical` demands bit-equality of RO/UO/MO and equality
 /// of the read/write/load cost snapshots: the metrics plane must be a
 /// pure observer.
@@ -226,9 +226,13 @@ pub fn metrics_equivalence(
         let sink = plane.sink();
         metered.set_trace_sink(sink.clone());
         let mut trace = TraceCollector::new(512, sink);
-        let observed =
-            run_stream_metered(metered.as_mut(), OpStream::new(&spec), &mut trace, &plane)
-                .unwrap_or_else(|e| panic!("{name} metered: {e}"));
+        let observed = run_stream_traced(
+            metered.as_mut(),
+            OpStream::new(&spec),
+            &mut trace,
+            Some(&plane),
+        )
+        .unwrap_or_else(|e| panic!("{name} metered: {e}"));
 
         let identical = baseline.ro.to_bits() == observed.ro.to_bits()
             && baseline.uo.to_bits() == observed.uo.to_bits()
@@ -319,9 +323,13 @@ mod tests {
             let sink = plane.sink();
             metered.set_trace_sink(sink.clone());
             let mut trace = TraceCollector::new(256, sink);
-            let observed =
-                run_stream_metered(metered.as_mut(), OpStream::new(&spec), &mut trace, &plane)
-                    .unwrap();
+            let observed = run_stream_traced(
+                metered.as_mut(),
+                OpStream::new(&spec),
+                &mut trace,
+                Some(&plane),
+            )
+            .unwrap();
             assert_eq!(baseline.ro.to_bits(), observed.ro.to_bits(), "{name} RO");
             assert_eq!(baseline.uo.to_bits(), observed.uo.to_bits(), "{name} UO");
             assert_eq!(baseline.mo.to_bits(), observed.mo.to_bits(), "{name} MO");

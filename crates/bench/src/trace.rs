@@ -76,7 +76,7 @@ pub fn run_traced(
     let sink = MemorySink::shared();
     method.set_trace_sink(sink.clone());
     let mut trace = TraceCollector::new(window, sink.clone());
-    let report = run_stream_traced(method, OpStream::new(spec), &mut trace)?;
+    let report = run_stream_traced(method, OpStream::new(spec), &mut trace, None)?;
     let aggregate = report.read_costs.add(&report.write_costs);
     let windows_sum_exact = trace.windowed_sum() == aggregate;
     Ok(TraceRun {

@@ -85,11 +85,11 @@ impl SpaceProfile {
 /// [`RumError::Unsupported`]: crate::error::RumError::Unsupported
 ///
 /// Methods are `Send` so the measurement harness can fan a suite out
-/// across worker threads ([`run_suite_parallel`]); each instance is still
+/// across worker threads ([`run_suite`]); each instance is still
 /// driven from one thread at a time (`&mut self`), so no `Sync` bound is
 /// needed.
 ///
-/// [`run_suite_parallel`]: crate::runner::run_suite_parallel
+/// [`run_suite`]: crate::runner::run_suite
 pub trait AccessMethod: Send {
     /// Human-readable name used in reports and plots.
     fn name(&self) -> String;

@@ -3,7 +3,7 @@
 //! [`crate::wizard`] ranks the Table 1 families from closed-form cost
 //! formulas. This module ranks the same families from **measured**
 //! [`RumReport`]s: a [`ProfileStore`] ingests reports produced by
-//! [`run_suite_stream`](crate::runner::run_suite_stream) across a grid of
+//! [`run_suite`](crate::runner::run_suite) across a grid of
 //! operation mixes × key distributions × scales, and
 //! [`ProfileStore::recommend_measured`] answers the same question the
 //! analytic [`recommend`](crate::wizard::recommend) answers — *which family

@@ -33,8 +33,8 @@
 //!   the live mirror coexist.
 //!
 //! Everything is opt-in: the compiled-in default sink everywhere remains
-//! [`NoopSink`](crate::trace::NoopSink), and
-//! [`run_stream_metered`](crate::runner::run_stream_metered) is a pure
+//! [`NoopSink`](crate::trace::NoopSink), and a plane attached to
+//! [`run_stream_traced`](crate::runner::run_stream_traced) is a pure
 //! observer of the tracker, so metrics-enabled runs are bit-identical in
 //! RO/UO/MO to metrics-disabled runs (`tests/metrics_conservation.rs`
 //! pins this for the whole standard suite).

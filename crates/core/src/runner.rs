@@ -1,14 +1,17 @@
-//! Drives an [`AccessMethod`] through a [`Workload`] and measures the RUM
-//! overheads, separating read-path and write-path traffic so RO and UO are
-//! attributed to the operations that incur them.
+//! Drives an [`AccessMethod`] through a [`Workload`] or an [`OpStream`] and
+//! measures the RUM overheads, separating read-path and write-path traffic
+//! so RO and UO are attributed to the operations that incur them.
 //!
-//! Suites of methods are measured with [`run_suite`] (serial) or
-//! [`run_suite_parallel`] (one worker thread per core, one method at a time
-//! per worker). Both return reports sorted by method name, so their output
-//! is identical apart from wall-clock timings.
+//! Every serial entry point is a thin call into one op-phase driver whose
+//! observers are optional arguments: a [`TraceCollector`] (per-op latency
+//! and trajectory windows), a [`MetricsPlane`] (per-class debt ledger and
+//! live gauges), and a window hook (the [`AutoTuner`]). The sharded
+//! runners keep their batched loop but share the driver's load prologue
+//! and report epilogue. Suites of methods are measured with [`run_suite`],
+//! whose reports are sorted by method name whatever the thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::access::AccessMethod;
@@ -16,8 +19,9 @@ use crate::autotune::{AutoTuneSummary, AutoTuner, Morphable, OpCounts};
 use crate::error::{panic_payload_message, Result, RumError};
 use crate::metrics::{MetricsPlane, OpClass};
 use crate::shard::ShardedMethod;
-use crate::trace::TraceCollector;
-use crate::tracker::CostSnapshot;
+use crate::trace::{TraceCollector, TrajectoryWindow};
+use crate::tracker::{CostSnapshot, CostTracker};
+use crate::types::Record;
 use crate::workload::{Op, OpStream, Workload, WorkloadSpec};
 
 /// The measured RUM profile of one method over one workload.
@@ -57,7 +61,7 @@ pub struct RumReport {
     /// amplification columns.
     pub ops_per_sec: f64,
     /// Median op latency in nanoseconds, from the traced latency
-    /// histogram ([`run_workload_traced`] / [`run_stream_traced`]).
+    /// histogram ([`run_stream_traced`] and the other traced runners).
     /// `0` when tracing is off — untraced runners never time single ops.
     pub p50_ns: u64,
     /// 99th-percentile op latency in nanoseconds; `0` when tracing is off.
@@ -134,17 +138,9 @@ fn finite(x: f64) -> f64 {
     }
 }
 
-/// Per-class cost totals of an operation phase, accumulated by
-/// [`OpPhase`]: traffic and op counts split by read vs write class.
-struct PhaseTotals {
-    read_costs: CostSnapshot,
-    write_costs: CostSnapshot,
-    read_ops: u64,
-    write_ops: u64,
-    wall_ns: u128,
-}
-
-/// Class-transition cost attribution shared by every runner entry point.
+/// One operation phase: the bulk-load prologue, class-transition cost
+/// attribution, and the report epilogue shared by every runner entry
+/// point.
 ///
 /// Costs are attributed per operation *class*, not per operation: the
 /// tracker is snapshotted (9 atomic loads) only when the stream switches
@@ -152,368 +148,303 @@ struct PhaseTotals {
 /// (insert/update/delete), plus once at the end. Between switches every
 /// byte the tracker accrues comes from operations of the running class,
 /// so the batched sums equal the per-op sums exactly while the hot loop
-/// sheds the per-op snapshot.
-struct OpPhase {
-    totals: PhaseTotals,
+/// sheds the per-op snapshot. With a [`MetricsPlane`] attached, its
+/// [`DebtLedger`](crate::metrics::DebtLedger) is charged exactly the same
+/// per-class deltas at the same settle points.
+struct OpPhase<'p> {
+    tracker: Arc<CostTracker>,
+    plane: Option<&'p MetricsPlane>,
+    load_costs: CostSnapshot,
+    load_wall_ns: u128,
+    read_costs: CostSnapshot,
+    write_costs: CostSnapshot,
+    read_ops: u64,
+    write_ops: u64,
     mark: CostSnapshot,
     batch_is_read: Option<bool>,
     started: Instant,
 }
 
-impl OpPhase {
-    fn start(tracker: &crate::tracker::CostTracker) -> Self {
-        OpPhase {
-            totals: PhaseTotals {
-                read_costs: CostSnapshot::default(),
-                write_costs: CostSnapshot::default(),
-                read_ops: 0,
-                write_ops: 0,
-                wall_ns: 0,
-            },
+impl<'p> OpPhase<'p> {
+    /// Bulk-load `initial` with the tracker freshly reset, then open the
+    /// op phase. The plane's ledger is charged the load under
+    /// [`OpClass::Load`], and the collector's trajectory begins after the
+    /// load, so it (like the report's RO / UO) excludes load traffic.
+    fn load(
+        method: &mut dyn AccessMethod,
+        initial: &[Record],
+        trace: Option<&mut TraceCollector>,
+        plane: Option<&'p MetricsPlane>,
+    ) -> Result<Self> {
+        let tracker = Arc::clone(method.tracker());
+        tracker.reset();
+        if let Some(plane) = plane {
+            plane.ledger().begin_class(OpClass::Load);
+        }
+        let load_started = Instant::now();
+        method.bulk_load(initial)?;
+        let load_wall_ns = load_started.elapsed().as_nanos();
+        let load_costs = tracker.snapshot();
+        if let Some(plane) = plane {
+            plane.ledger().charge(OpClass::Load, &load_costs);
+        }
+        if let Some(trace) = trace {
+            trace.begin(&tracker);
+        }
+        Ok(OpPhase {
             mark: tracker.snapshot(),
+            tracker,
+            plane,
+            load_costs,
+            load_wall_ns,
+            read_costs: CostSnapshot::default(),
+            write_costs: CostSnapshot::default(),
+            read_ops: 0,
+            write_ops: 0,
             batch_is_read: None,
             started: Instant::now(),
-        }
+        })
     }
 
     /// Fold the traffic since the previous settle point into the running
-    /// class, then switch the running class to `next`. Returns the class
-    /// the delta was folded into (`None` right after the phase started)
-    /// and the delta itself, so metered runners can mirror the exact same
-    /// attribution into a [`DebtLedger`](crate::metrics::DebtLedger).
-    fn settle(
-        &mut self,
-        tracker: &crate::tracker::CostTracker,
-        next: Option<bool>,
-    ) -> (Option<bool>, CostSnapshot) {
-        let now = tracker.snapshot();
+    /// class (and the plane's ledger), then switch the running class to
+    /// `next`.
+    fn settle(&mut self, next: Option<bool>) {
+        let now = self.tracker.snapshot();
         let d = now.delta(&self.mark);
         self.mark = now;
-        let prev = self.batch_is_read;
-        match prev {
-            Some(true) => self.totals.read_costs = self.totals.read_costs.add(&d),
-            Some(false) => self.totals.write_costs = self.totals.write_costs.add(&d),
+        match self.batch_is_read {
+            Some(true) => self.read_costs = self.read_costs.add(&d),
+            Some(false) => self.write_costs = self.write_costs.add(&d),
             None => {} // nothing ran since the phase started
         }
+        if let Some(plane) = self.plane {
+            if let Some(prev) = self.batch_is_read {
+                plane.ledger().charge(OpClass::of_read(prev), &d);
+            }
+            if let Some(next) = next {
+                plane.ledger().begin_class(OpClass::of_read(next));
+            }
+        }
         self.batch_is_read = next;
-        (prev, d)
+    }
+
+    /// Make `is_read`'s class the running one, settling on a class switch.
+    #[inline]
+    fn enter(&mut self, is_read: bool) {
+        if self.batch_is_read != Some(is_read) {
+            self.settle(Some(is_read));
+        }
     }
 
     /// Note `count` ops of the running class having executed. Only counts;
     /// traffic is folded at the next [`settle`](Self::settle).
     fn count(&mut self, is_read: bool, count: u64) {
         if is_read {
-            self.totals.read_ops += count;
+            self.read_ops += count;
         } else {
-            self.totals.write_ops += count;
+            self.write_ops += count;
         }
     }
 
-    fn finish(mut self, tracker: &crate::tracker::CostTracker) -> PhaseTotals {
-        self.settle(tracker, None);
-        self.totals.wall_ns = self.started.elapsed().as_nanos();
-        self.totals
-    }
-}
-
-/// Execute one op against `method` through the instrumented wrappers,
-/// discarding the result (runners measure costs, not answers).
-#[inline]
-fn execute_op(method: &mut dyn AccessMethod, op: Op) -> Result<()> {
-    match op {
-        Op::Get(k) => {
-            method.get(k)?;
+    /// Close the phase and assemble the report. The collector closes its
+    /// last window and fills `p50_ns` / `p99_ns` from its merged read +
+    /// write histogram; the plane publishes the tracker totals and its
+    /// conservation verdict.
+    fn finish(
+        mut self,
+        method: &dyn AccessMethod,
+        trace: Option<&mut TraceCollector>,
+    ) -> RumReport {
+        self.settle(None);
+        let wall_ns = self.started.elapsed().as_nanos();
+        // Untraced runs never time single ops, so the quantiles stay 0.
+        let (mut p50_ns, mut p99_ns) = (0, 0);
+        if let Some(trace) = trace {
+            trace.finish(&self.tracker, method);
+            let overall = trace.overall_latency();
+            (p50_ns, p99_ns) = (overall.p50(), overall.p99());
         }
-        Op::Range(lo, hi) => {
-            method.range(lo, hi)?;
+        let mo = method.space_profile().space_amplification();
+        if let Some(plane) = self.plane {
+            plane.publish_final(&self.tracker.snapshot(), mo, method.len() as u64);
         }
-        Op::Insert(k, v) => {
-            method.insert(k, v)?;
-        }
-        Op::Update(k, v) => {
-            method.update(k, v)?;
-        }
-        Op::Delete(k) => {
-            method.delete(k)?;
-        }
-    }
-    Ok(())
-}
-
-/// Assemble the final report from the load and op-phase measurements.
-fn assemble_report(
-    method: &dyn AccessMethod,
-    load_costs: CostSnapshot,
-    load_wall_ns: u128,
-    totals: PhaseTotals,
-) -> RumReport {
-    let PhaseTotals {
-        read_costs,
-        write_costs,
-        read_ops,
-        write_ops,
-        wall_ns,
-    } = totals;
-    let profile = method.space_profile();
-    let sim_ns = read_costs.sim_time_ns + write_costs.sim_time_ns;
-    let total_ops = read_ops + write_ops;
-    let ops_per_sec = if wall_ns == 0 {
-        if total_ops == 0 {
-            0.0
+        let (read_costs, write_costs) = (self.read_costs, self.write_costs);
+        let (read_ops, write_ops) = (self.read_ops, self.write_ops);
+        let total_ops = read_ops + write_ops;
+        let ops_per_sec = if wall_ns == 0 {
+            if total_ops == 0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
         } else {
-            f64::INFINITY
+            total_ops as f64 * 1e9 / wall_ns as f64
+        };
+        RumReport {
+            method: method.name(),
+            n_final: method.len(),
+            read_ops,
+            write_ops,
+            ro: read_costs.read_amplification(),
+            uo: write_costs.write_amplification(),
+            mo,
+            pages_per_read_op: per_op(read_costs.page_accesses(), read_ops),
+            pages_per_write_op: per_op(write_costs.page_accesses(), write_ops),
+            sim_ns: read_costs.sim_time_ns + write_costs.sim_time_ns,
+            read_costs,
+            write_costs,
+            load_costs: self.load_costs,
+            wall_ns,
+            load_wall_ns: self.load_wall_ns,
+            ops_per_sec,
+            p50_ns,
+            p99_ns,
         }
-    } else {
-        total_ops as f64 * 1e9 / wall_ns as f64
-    };
-
-    RumReport {
-        method: method.name(),
-        n_final: method.len(),
-        read_ops,
-        write_ops,
-        ro: read_costs.read_amplification(),
-        uo: write_costs.write_amplification(),
-        mo: profile.space_amplification(),
-        pages_per_read_op: per_op(read_costs.page_accesses(), read_ops),
-        pages_per_write_op: per_op(write_costs.page_accesses(), write_ops),
-        read_costs,
-        write_costs,
-        load_costs,
-        wall_ns,
-        load_wall_ns,
-        sim_ns,
-        ops_per_sec,
-        // Latency quantiles come from the traced entry points; untraced
-        // runners never time single ops, so the columns stay 0.
-        p50_ns: 0,
-        p99_ns: 0,
     }
 }
 
-/// Bulk-load `initial` with the tracker freshly reset, returning the load
-/// costs and wall time.
-fn load_phase(
-    method: &mut dyn AccessMethod,
-    initial: &[crate::types::Record],
-) -> Result<(CostSnapshot, u128)> {
-    method.tracker().reset();
-    let load_started = Instant::now();
-    method.bulk_load(initial)?;
-    let load_wall_ns = load_started.elapsed().as_nanos();
-    let load_costs = method.tracker().snapshot();
-    Ok((load_costs, load_wall_ns))
+/// The method types [`drive`] runs: any access method, and the morphable
+/// ones a tuner hook reshapes.
+trait Driven {
+    fn access(&mut self) -> &mut dyn AccessMethod;
+}
+
+impl Driven for dyn AccessMethod + '_ {
+    fn access(&mut self) -> &mut dyn AccessMethod {
+        self
+    }
+}
+
+impl Driven for dyn Morphable + '_ {
+    fn access(&mut self) -> &mut dyn AccessMethod {
+        self
+    }
+}
+
+/// Runs after the collector closes a trajectory window, with the window
+/// and the op-kind counts of the ops it closed over. It may settle the
+/// phase (into the write class before a migration) and reshape the method.
+type WindowHook<'h, M> =
+    dyn FnMut(&mut M, &mut OpPhase<'_>, &TrajectoryWindow, &OpCounts) -> Result<()> + 'h;
+
+/// The one serial op phase behind every non-sharded entry point: bulk-load
+/// `initial` (dropped before the first op), play `ops`, attribute costs
+/// per class, and assemble the report.
+///
+/// Every observer is optional. Without a collector no op is timed and
+/// nothing is allocated per op. With one, each op is timed into its
+/// per-class latency histogram, the plane (if any) mirrors the latency
+/// and republishes its live gauges at each window close, and the hook (if
+/// any) runs at each window close. Observers read the tracker but never
+/// charge it, so every counted measurement is the same with or without
+/// them.
+fn drive<M: ?Sized + Driven>(
+    method: &mut M,
+    initial: impl AsRef<[Record]>,
+    ops: impl IntoIterator<Item = Op>,
+    mut trace: Option<&mut TraceCollector>,
+    plane: Option<&MetricsPlane>,
+    mut on_window: Option<&mut WindowHook<'_, M>>,
+) -> Result<RumReport> {
+    let mut phase = OpPhase::load(
+        method.access(),
+        initial.as_ref(),
+        trace.as_deref_mut(),
+        plane,
+    )?;
+    drop(initial);
+    let mut counts = OpCounts::default();
+    let mut windows_seen = 0usize;
+    for op in ops {
+        let is_read = op.is_read();
+        phase.enter(is_read);
+        let Some(trace) = trace.as_deref_mut() else {
+            op.apply(method.access())?;
+            phase.count(is_read, 1);
+            continue;
+        };
+        let op_started = Instant::now();
+        op.apply(method.access())?;
+        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        phase.count(is_read, 1);
+        if on_window.is_some() {
+            counts.observe(&op);
+        }
+        trace.note_op(is_read, latency_ns, &phase.tracker, method.access());
+        if let Some(plane) = plane {
+            plane.observe_op(is_read, latency_ns);
+        }
+        if trace.windows().len() > windows_seen {
+            windows_seen = trace.windows().len();
+            if let Some(plane) = plane {
+                let m = method.access();
+                plane.refresh_live(m.space_profile().space_amplification(), m.len() as u64);
+            }
+            if let Some(hook) = on_window.as_deref_mut() {
+                let window = trace.windows().last().expect("a window just closed");
+                hook(method, &mut phase, window, &std::mem::take(&mut counts))?;
+            }
+        }
+    }
+    Ok(phase.finish(method.access(), trace))
 }
 
 /// Run `workload` against `method`: bulk-load the initial records, then play
 /// the operation stream, attributing costs per operation class.
 pub fn run_workload(method: &mut dyn AccessMethod, workload: &Workload) -> Result<RumReport> {
-    let (load_costs, load_wall_ns) = load_phase(method, &workload.initial)?;
-    let tracker = std::sync::Arc::clone(method.tracker());
-
-    let mut phase = OpPhase::start(&tracker);
-    for &op in &workload.ops {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        execute_op(method, op)?;
-        phase.count(is_read, 1);
-    }
-    let totals = phase.finish(&tracker);
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+    let ops = workload.ops.iter().copied();
+    drive(method, &workload.initial, ops, None, None, None)
 }
 
 /// Run a streaming workload against `method` without ever materializing a
-/// `Vec<Op>`: ops are drawn from the [`OpStream`] one at a time, so peak
-/// memory is O(live-set) no matter how many operations the spec asks for.
+/// `Vec<Op>`: ops are drawn from the [`OpStream`] one at a time, and the
+/// initial records are dropped once loaded, so peak memory is O(live-set)
+/// no matter how many operations the spec asks for.
 ///
 /// Produces a report bit-identical (apart from wall-clock fields) to
 /// [`run_workload`] on `Workload::generate(stream.spec())` — the stream
 /// yields the same op sequence by construction, and cost attribution uses
 /// the same class-transition batching.
 pub fn run_stream(method: &mut dyn AccessMethod, mut stream: OpStream) -> Result<RumReport> {
-    let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
-    drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-
-    let mut phase = OpPhase::start(&tracker);
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        execute_op(method, op)?;
-        phase.count(is_read, 1);
-    }
-    let totals = phase.finish(&tracker);
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+    drive(method, stream.take_initial(), stream, None, None, None)
 }
 
-/// [`run_workload`] with a [`TraceCollector`] observing the op phase:
-/// each op is individually timed into the collector's per-class latency
+/// [`run_stream`] with a [`TraceCollector`] observing the op phase: each
+/// op is individually timed into the collector's per-class latency
 /// histograms and the collector closes a trajectory window every
-/// [`window_ops`](TraceCollector::window_ops) operations.
-///
-/// The collector is a pure observer — it reads the tracker but never
-/// charges it — so every counted measurement in the returned report
-/// (`n_final`, op counts, all three [`CostSnapshot`]s, RO/UO/MO bits) is
-/// identical to an untraced [`run_workload`] run. The only additions are
-/// the latency columns: `p50_ns`/`p99_ns` are filled from the merged
-/// read+write histogram instead of staying 0.
-///
-/// `trace.begin` is called after the bulk load and `trace.finish` after
-/// the last op, so the windowed deltas partition exactly the op-phase
-/// traffic: their sum equals `read_costs + write_costs` byte-exactly
+/// [`window_ops`](TraceCollector::window_ops) operations. `trace.begin` is
+/// called after the bulk load and `trace.finish` after the last op, so the
+/// windowed deltas partition exactly the op-phase traffic: their sum
+/// equals `read_costs + write_costs` byte-exactly
 /// ([`TraceCollector::windowed_sum`]).
-pub fn run_workload_traced(
-    method: &mut dyn AccessMethod,
-    workload: &Workload,
-    trace: &mut TraceCollector,
-) -> Result<RumReport> {
-    let (load_costs, load_wall_ns) = load_phase(method, &workload.initial)?;
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    for &op in &workload.ops {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
-}
-
-/// [`run_stream`] with a [`TraceCollector`] observing the op phase — the
-/// streaming counterpart of [`run_workload_traced`], with the same
-/// zero-observer-effect and windowed-sum guarantees.
+///
+/// With a live [`MetricsPlane`], the plane's
+/// [`DebtLedger`](crate::metrics::DebtLedger) receives exactly the
+/// per-class tracker deltas the report is assembled from (the same settle
+/// points, the same snapshots), per-op latencies are mirrored into
+/// `rum_op_latency_ns{class}` histograms, and the live gauge set is
+/// republished at every window close — so an exporter scraping the plane's
+/// registry sees per-op-class amortized RO/UO/MO evolve while the run is
+/// still going. At the end [`MetricsPlane::publish_final`] records the
+/// tracker totals and the conservation verdict (`rum_conservation_ok`).
+/// To feed the ledger's causal re-attribution, install a sink from the
+/// same plane on the method first (`method.set_trace_sink(plane.sink())`,
+/// or [`sink_with_forward`](MetricsPlane::sink_with_forward) to also keep
+/// a [`MemorySink`](crate::trace::MemorySink) trace).
+///
+/// Both observers read the tracker but never charge it, so every counted
+/// measurement in the returned report (`n_final`, op counts, all three
+/// [`CostSnapshot`]s, RO/UO/MO bits) is identical to an untraced
+/// [`run_stream`]; only `p50_ns` / `p99_ns` are filled instead of 0.
 pub fn run_stream_traced(
     method: &mut dyn AccessMethod,
     mut stream: OpStream,
     trace: &mut TraceCollector,
+    plane: Option<&MetricsPlane>,
 ) -> Result<RumReport> {
     let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
-    drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
-}
-
-/// [`run_stream_traced`] with a live [`MetricsPlane`] attached: the
-/// plane's [`DebtLedger`](crate::metrics::DebtLedger) receives exactly
-/// the per-class tracker deltas the report is assembled from (the same
-/// settle points, the same snapshots), per-op latencies are mirrored
-/// into `rum_op_latency_ns{class}` histograms, and the live gauge set is
-/// republished at every trajectory-window close — so an exporter
-/// scraping the plane's registry sees per-op-class amortized RO/UO/MO
-/// evolve while the run is still going.
-///
-/// To feed the ledger's causal re-attribution, install a sink from the
-/// same plane on the method first
-/// (`method.set_trace_sink(plane.sink())`, or
-/// [`sink_with_forward`](MetricsPlane::sink_with_forward) to also keep a
-/// [`MemorySink`](crate::trace::MemorySink) trace). Without a sink the
-/// ledger still conserves — it just has no background events to move.
-///
-/// The plane, like the collector, is a pure observer of the tracker:
-/// every counted measurement in the returned report (op counts, all
-/// three [`CostSnapshot`]s, RO/UO/MO bits) is identical to an untraced
-/// [`run_stream`] of the same stream. At the end of the run
-/// [`MetricsPlane::publish_final`] records the tracker totals and the
-/// conservation verdict (`rum_conservation_ok`), which holds byte-exactly
-/// because the ledger was charged every delta the tracker accrued.
-pub fn run_stream_metered(
-    method: &mut dyn AccessMethod,
-    mut stream: OpStream,
-    trace: &mut TraceCollector,
-    plane: &MetricsPlane,
-) -> Result<RumReport> {
-    let initial = stream.take_initial();
-    plane.ledger().begin_class(OpClass::Load);
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
-    drop(initial);
-    plane.ledger().charge(OpClass::Load, &load_costs);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    let mut windows_seen = 0usize;
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            let (prev, delta) = phase.settle(&tracker, Some(is_read));
-            if let Some(prev_is_read) = prev {
-                plane
-                    .ledger()
-                    .charge(OpClass::of_read(prev_is_read), &delta);
-            }
-            plane.ledger().begin_class(OpClass::of_read(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-        plane.observe_op(is_read, latency_ns);
-        if trace.windows().len() > windows_seen {
-            windows_seen = trace.windows().len();
-            plane.refresh_live(
-                method.space_profile().space_amplification(),
-                method.len() as u64,
-            );
-        }
-    }
-    let (prev, delta) = phase.settle(&tracker, None);
-    if let Some(prev_is_read) = prev {
-        plane
-            .ledger()
-            .charge(OpClass::of_read(prev_is_read), &delta);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    plane.publish_final(
-        &tracker.snapshot(),
-        method.space_profile().space_amplification(),
-        method.len() as u64,
-    );
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
+    drive(method, initial, stream, Some(trace), plane, None)
 }
 
 /// [`run_stream_traced`] with the [`AutoTuner`] closing the loop: every
@@ -542,47 +473,19 @@ pub fn run_stream_autotuned(
     trace: &mut TraceCollector,
 ) -> Result<(RumReport, AutoTuneSummary)> {
     let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(&mut *method, &initial)?;
-    drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    let mut counts = OpCounts::default();
-    let mut closed = 0usize;
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
+    let hook: &mut WindowHook<'_, dyn Morphable + '_> = &mut |method, phase, window, counts| {
+        if let Some(plan) = tuner.plan(window, counts, method) {
+            // Settle into the write class first, so the migration's I/O
+            // is attributed to UO (not smeared into whatever class
+            // happened to be running).
+            phase.settle(Some(false));
+            tuner.begin_migration(&plan);
+            let receipt = method.morph_to(plan.family, &plan.mix)?;
+            tuner.complete(plan, receipt);
         }
-        let op_started = Instant::now();
-        execute_op(&mut *method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        counts.observe(&op);
-        trace.note_op(is_read, latency_ns, &tracker, &*method);
-
-        if trace.windows().len() > closed {
-            closed = trace.windows().len();
-            let window = trace.windows()[closed - 1].clone();
-            let window_counts = std::mem::take(&mut counts);
-            if let Some(plan) = tuner.plan(&window, &window_counts, method) {
-                // Settle into the write class first, so the migration's
-                // I/O is attributed to UO (not smeared into whatever class
-                // happened to be running).
-                phase.settle(&tracker, Some(false));
-                tuner.begin_migration(&plan);
-                let receipt = method.morph_to(plan.family, &plan.mix)?;
-                tuner.complete(plan, receipt);
-            }
-        }
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, &*method);
-    let mut report = assemble_report(&*method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
+        Ok(())
+    };
+    let report = drive(method, initial, stream, Some(trace), None, Some(hook))?;
     Ok((report, tuner.summary().clone()))
 }
 
@@ -613,7 +516,7 @@ pub fn run_stream_sharded(
     stream: OpStream,
     batch: usize,
 ) -> Result<RumReport> {
-    run_stream_sharded_impl(method, stream, batch, None)
+    run_sharded(method, stream, batch, None)
 }
 
 /// [`run_stream_sharded`] with a [`TraceCollector`] observing the op
@@ -624,7 +527,7 @@ pub fn run_stream_sharded(
 /// [`TraceCollector::note_batch`]. `p50_ns` / `p99_ns` in the returned
 /// report are filled from the merged distribution instead of staying 0.
 ///
-/// Granularity caveats versus the per-op traced runners: trajectory
+/// Granularity caveats versus the per-op traced runner: trajectory
 /// windows close on batch boundaries (so a window may run up to
 /// `batch - 1` ops long), and a range op contributes one latency
 /// observation per shard it fanned out to rather than one end-to-end
@@ -636,17 +539,14 @@ pub fn run_stream_sharded_traced(
     batch: usize,
     trace: &mut TraceCollector,
 ) -> Result<RumReport> {
-    let mut report = run_stream_sharded_impl(method, stream, batch, Some(trace))?;
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
+    run_sharded(method, stream, batch, Some(trace))
 }
 
 /// Shared body of [`run_stream_sharded`] / [`run_stream_sharded_traced`]:
-/// the double-buffered submit/assemble/collect loop, with per-batch timing
-/// switched on only when a collector is observing.
-fn run_stream_sharded_impl(
+/// the double-buffered submit/assemble/collect loop between the shared
+/// [`OpPhase`] prologue and epilogue, with per-batch timing switched on
+/// only when a collector is observing.
+fn run_sharded(
     method: &mut ShardedMethod,
     mut stream: OpStream,
     batch: usize,
@@ -654,15 +554,9 @@ fn run_stream_sharded_impl(
 ) -> Result<RumReport> {
     let batch = batch.max(1);
     let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
+    let mut phase = OpPhase::load(method, &initial, trace.as_deref_mut(), None)?;
     drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
     let timed = trace.is_some();
-    if let Some(t) = trace.as_deref_mut() {
-        t.begin(&tracker);
-    }
-
-    let mut phase = OpPhase::start(&tracker);
     let mut pending: Option<Op> = None;
     // Two assembly buffers: the workers read from one (it backs the
     // in-flight batch's per-shard partitions) while the stream fills the
@@ -700,24 +594,18 @@ fn run_stream_sharded_impl(
             phase.count(class, count);
             if let Some(t) = trace.as_deref_mut() {
                 let hist = latency.unwrap_or_default();
-                t.note_batch(class, count, &hist, &tracker, method);
+                t.note_batch(class, count, &hist, &phase.tracker, method);
             }
         }
 
         let Some(is_read) = next_class else { break };
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
+        phase.enter(is_read);
         let count = buffers[which].len() as u64;
         let handle = method.submit_batch(&buffers[which], timed)?;
         in_flight = Some((handle, is_read, count));
         which ^= 1;
     }
-    let totals = phase.finish(&tracker);
-    if let Some(t) = trace {
-        t.finish(&tracker, method);
-    }
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+    Ok(phase.finish(method, trace))
 }
 
 /// Run one suite member's measurement, converting a panic or an error into
@@ -737,76 +625,21 @@ where
     }
 }
 
-/// Keep the successful reports (sorted by name); failed or panicking
-/// methods are reported on stderr and dropped from the suite's output.
-fn settle_suite(results: Vec<Result<RumReport>>) -> Vec<RumReport> {
-    let mut reports = Vec::with_capacity(results.len());
-    for result in results {
-        match result {
-            Ok(report) => reports.push(report),
-            Err(e) => eprintln!("[suite] skipping method: {e}"),
-        }
-    }
-    sort_reports(&mut reports);
-    reports
-}
-
-/// Run every method in `methods` over the same workload, serially, and
-/// return the reports **sorted by method name**. [`run_suite_parallel`]
-/// produces identical output (apart from wall-clock fields), so the two are
-/// interchangeable wherever determinism matters.
+/// Run every method in `methods` over the workload `spec` describes, on a
+/// pool of `threads` workers (`threads <= 1` runs inline), and return the
+/// reports **sorted by method name** — identical whatever the thread count,
+/// apart from wall-clock fields.
+///
+/// Each worker owns one method at a time (methods are `Send` and carry
+/// their own private [`CostTracker`], so no cost traffic crosses methods)
+/// and streams its own [`OpStream`] from `spec` (generation is seeded and
+/// cheap relative to execution), so no materialized `Vec<Op>` is shared —
+/// peak memory stays O(live-set) per worker. Reports match [`run_workload`]
+/// on `Workload::generate(spec)` bit-for-bit apart from wall-clock fields.
 ///
 /// A method that fails or panics mid-measurement is reported on stderr and
 /// omitted from the returned reports; the rest of the suite still runs.
 pub fn run_suite(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-) -> Result<Vec<RumReport>> {
-    let results = methods
-        .iter_mut()
-        .map(|method| {
-            let name = method.name();
-            run_guarded(&name, || run_workload(method.as_mut(), workload))
-        })
-        .collect();
-    Ok(settle_suite(results))
-}
-
-/// [`run_suite`] fanned across one worker thread per available core.
-///
-/// Each worker owns one method at a time (methods are `Send` and carry
-/// their own private [`CostTracker`](crate::tracker::CostTracker), so no
-/// cost traffic crosses methods) and the merged reports are sorted by
-/// method name, making the output deterministic and byte-identical to the
-/// serial run apart from wall-clock timings.
-pub fn run_suite_parallel(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-) -> Result<Vec<RumReport>> {
-    run_suite_with_threads(methods, workload, default_threads())
-}
-
-/// [`run_suite_parallel`] with an explicit worker count. `threads <= 1`
-/// degenerates to the serial path.
-pub fn run_suite_with_threads(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-    threads: usize,
-) -> Result<Vec<RumReport>> {
-    let results = parallel_map(methods.iter_mut().collect(), threads, |method| {
-        let name = method.name();
-        run_guarded(&name, || run_workload(method.as_mut(), workload))
-    });
-    Ok(settle_suite(results))
-}
-
-/// [`run_suite_with_threads`] for streaming workloads: every worker
-/// regenerates its own [`OpStream`] from `spec` (generation is seeded and
-/// cheap relative to execution), so no materialized `Vec<Op>` is shared —
-/// peak memory stays O(live-set) per worker. Reports are sorted by method
-/// name and match [`run_suite`] on `Workload::generate(spec)` bit-for-bit
-/// apart from wall-clock fields.
-pub fn run_suite_stream(
     methods: &mut [Box<dyn AccessMethod>],
     spec: &WorkloadSpec,
     threads: usize,
@@ -815,11 +648,21 @@ pub fn run_suite_stream(
         let name = method.name();
         run_guarded(&name, || run_stream(method.as_mut(), OpStream::new(spec)))
     });
-    Ok(settle_suite(results))
+    let mut reports = Vec::with_capacity(results.len());
+    for result in results {
+        match result {
+            Ok(report) => reports.push(report),
+            Err(e) => eprintln!("[suite] skipping method: {e}"),
+        }
+    }
+    // Stable name order; input order breaks ties, so duplicate names keep
+    // a deterministic relative order too.
+    reports.sort_by(|a, b| a.method.cmp(&b.method));
+    Ok(reports)
 }
 
-/// Number of workers [`run_suite_parallel`] uses: one per available core,
-/// unless the `RUM_THREADS` environment variable overrides it.
+/// Default worker count for [`run_suite`]: one per available core, unless
+/// the `RUM_THREADS` environment variable overrides it.
 ///
 /// `RUM_THREADS` must parse as a positive integer; unset, empty, zero, or
 /// unparsable values fall back to the core count. CI and single-core
@@ -837,12 +680,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Stable name order; insertion order breaks ties, so duplicate names keep
-/// a deterministic relative order too.
-fn sort_reports(reports: &mut [RumReport]) {
-    reports.sort_by(|a, b| a.method.cmp(&b.method));
 }
 
 /// Apply `f` to every item on a pool of `threads` scoped workers and return
@@ -903,26 +740,10 @@ fn per_op(total: u64, ops: u64) -> f64 {
 /// experiments: runs `ops` against an already-loaded method and returns the
 /// per-operation page accesses and cost delta.
 pub fn measure_ops(method: &mut dyn AccessMethod, ops: &[Op]) -> Result<(f64, CostSnapshot)> {
-    let tracker = std::sync::Arc::clone(method.tracker());
+    let tracker = Arc::clone(method.tracker());
     let before = tracker.snapshot();
-    for op in ops {
-        match *op {
-            Op::Get(k) => {
-                method.get(k)?;
-            }
-            Op::Range(lo, hi) => {
-                method.range(lo, hi)?;
-            }
-            Op::Insert(k, v) => {
-                method.insert(k, v)?;
-            }
-            Op::Update(k, v) => {
-                method.update(k, v)?;
-            }
-            Op::Delete(k) => {
-                method.delete(k)?;
-            }
-        }
+    for &op in ops {
+        op.apply(method)?;
     }
     let d = tracker.since(&before);
     Ok((per_op(d.page_accesses(), ops.len() as u64), d))
@@ -932,10 +753,9 @@ pub fn measure_ops(method: &mut dyn AccessMethod, ops: &[Op]) -> Result<(f64, Co
 mod tests {
     use super::*;
     use crate::access::SpaceProfile;
-    use crate::tracker::{CostTracker, DataClass};
-    use crate::types::{Key, Record, Value, RECORD_SIZE};
-    use crate::workload::{OpMix, Workload, WorkloadSpec};
-    use std::sync::Arc;
+    use crate::tracker::DataClass;
+    use crate::types::{Key, Value, RECORD_SIZE};
+    use crate::workload::OpMix;
 
     /// Minimal sorted-vec method that charges 2 bytes of physical traffic
     /// per byte of logical traffic, so amplification is exactly 2.
@@ -1134,108 +954,74 @@ mod tests {
         assert_eq!(parallel_map(Vec::<usize>::new(), 4, |x: usize| x), vec![]);
     }
 
-    #[test]
-    fn parallel_suite_matches_serial_suite() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 400,
-            operations: 800,
-            mix: OpMix::BALANCED,
-            seed: 11,
-            ..Default::default()
-        });
-        let make_suite = || -> Vec<Box<dyn AccessMethod>> {
-            vec![
-                Box::new(Amp2::named("zeta")),
-                Box::new(Amp2::named("alpha")),
-                Box::new(Amp2::named("mid")),
-            ]
-        };
-        let serial = run_suite(&mut make_suite(), &w).unwrap();
-        let parallel = run_suite_with_threads(&mut make_suite(), &w, 3).unwrap();
-        let names: Vec<&str> = serial.iter().map(|r| r.method.as_str()).collect();
-        assert_eq!(names, ["alpha", "mid", "zeta"], "reports sorted by name");
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.method, p.method);
-            assert_eq!(s.n_final, p.n_final);
-            assert_eq!((s.read_ops, s.write_ops), (p.read_ops, p.write_ops));
-            assert_eq!(s.read_costs, p.read_costs);
-            assert_eq!(s.write_costs, p.write_costs);
-            assert_eq!(s.load_costs, p.load_costs);
-            assert_eq!((s.ro, s.uo, s.mo), (p.ro, p.uo, p.mo));
+    fn assert_same_measurements(ctx: &str, a: &RumReport, b: &RumReport) {
+        assert_eq!(a.n_final, b.n_final, "{ctx}: n_final");
+        assert_eq!(
+            (a.read_ops, a.write_ops),
+            (b.read_ops, b.write_ops),
+            "{ctx}"
+        );
+        assert_eq!(a.read_costs, b.read_costs, "{ctx}: read_costs");
+        assert_eq!(a.write_costs, b.write_costs, "{ctx}: write_costs");
+        assert_eq!(a.load_costs, b.load_costs, "{ctx}: load_costs");
+        assert_eq!(
+            a.ro.to_bits(),
+            b.ro.to_bits(),
+            "{ctx}: RO must be bit-identical"
+        );
+        assert_eq!(
+            a.uo.to_bits(),
+            b.uo.to_bits(),
+            "{ctx}: UO must be bit-identical"
+        );
+        assert_eq!(
+            a.mo.to_bits(),
+            b.mo.to_bits(),
+            "{ctx}: MO must be bit-identical"
+        );
+    }
+
+    /// Amp2 as a tunable structure that always prices a re-tune as a win
+    /// but is already in every shape it is asked for, so the tuner reaches
+    /// the migration path without any migration traffic.
+    impl Morphable for Amp2 {
+        fn family(&self) -> crate::wizard::Family {
+            crate::wizard::Family::BTree
+        }
+        fn shape(&self) -> String {
+            self.name.clone()
+        }
+        fn retune_gain(
+            &mut self,
+            _: &OpMix,
+            _: &crate::wizard::Environment,
+        ) -> Option<crate::autotune::RetuneEstimate> {
+            Some(crate::autotune::RetuneEstimate {
+                current_cost: 2.0,
+                advised_cost: 1.0,
+                advised_shape: self.name.clone(),
+                bill_pages: Some(1.0),
+            })
+        }
+        fn morph_to(
+            &mut self,
+            _: crate::wizard::Family,
+            _: &OpMix,
+        ) -> Result<Option<crate::autotune::MigrationReceipt>> {
+            Ok(None)
         }
     }
 
-    fn assert_same_measurements(a: &RumReport, b: &RumReport) {
-        assert_eq!(a.method, b.method);
-        assert_eq!(a.n_final, b.n_final);
-        assert_eq!((a.read_ops, a.write_ops), (b.read_ops, b.write_ops));
-        assert_eq!(a.read_costs, b.read_costs);
-        assert_eq!(a.write_costs, b.write_costs);
-        assert_eq!(a.load_costs, b.load_costs);
-        assert_eq!(a.ro.to_bits(), b.ro.to_bits(), "RO must be bit-identical");
-        assert_eq!(a.uo.to_bits(), b.uo.to_bits(), "UO must be bit-identical");
-        assert_eq!(a.mo.to_bits(), b.mo.to_bits(), "MO must be bit-identical");
-    }
-
+    /// Every entry point, on the same spec, measures the same bits as
+    /// `run_workload` on the materialized workload: the serial ones against
+    /// a plain method, the sharded ones against the same sharded facade
+    /// driven one op at a time. Traced rows must also fill the latency
+    /// quantiles and partition the op phase into windows exactly; untraced
+    /// rows never time an op.
     #[test]
-    fn run_stream_matches_run_workload() {
-        let spec = WorkloadSpec {
-            initial_records: 300,
-            operations: 1500,
-            mix: OpMix::BALANCED,
-            seed: 21,
-            ..Default::default()
-        };
-        let w = Workload::generate(&spec);
-        let mut serial = Amp2::new();
-        let mut streamed = Amp2::new();
-        let a = run_workload(&mut serial, &w).unwrap();
-        let b = run_stream(&mut streamed, crate::workload::OpStream::new(&spec)).unwrap();
-        assert_same_measurements(&a, &b);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_windows_sum_exactly() {
-        let spec = WorkloadSpec {
-            initial_records: 300,
-            operations: 1200,
-            mix: OpMix::BALANCED,
-            seed: 77,
-            ..Default::default()
-        };
-        let w = Workload::generate(&spec);
-        let mut plain = Amp2::new();
-        let a = run_workload(&mut plain, &w).unwrap();
-
-        let mut traced = Amp2::new();
-        let mut trace = crate::trace::TraceCollector::new(256, crate::trace::noop_sink());
-        let b = run_workload_traced(&mut traced, &w, &mut trace).unwrap();
-        assert_same_measurements(&a, &b);
-        assert!(b.p99_ns >= b.p50_ns);
-        assert_eq!(
-            trace.windowed_sum(),
-            b.read_costs.add(&b.write_costs),
-            "window deltas must sum byte-exactly to the op-phase totals"
-        );
-        assert_eq!(trace.windows().len(), 1200usize.div_ceil(256));
-        let total_ops: u64 = trace.windows().iter().map(|w| w.ops).sum();
-        assert_eq!(total_ops, 1200);
-
-        let mut streamed = Amp2::new();
-        let mut trace2 = crate::trace::TraceCollector::new(256, crate::trace::noop_sink());
-        let c = run_stream_traced(
-            &mut streamed,
-            crate::workload::OpStream::new(&spec),
-            &mut trace2,
-        )
-        .unwrap();
-        assert_same_measurements(&a, &c);
-        assert_eq!(trace2.windowed_sum(), c.read_costs.add(&c.write_costs));
-    }
-
-    #[test]
-    fn run_stream_sharded_matches_serial_sharded() {
+    fn every_entry_point_measures_the_same_bits() {
+        use crate::autotune::AutoTuneConfig;
+        use crate::trace::noop_sink;
         let spec = WorkloadSpec {
             initial_records: 400,
             operations: 2000,
@@ -1243,99 +1029,140 @@ mod tests {
             seed: 33,
             ..Default::default()
         };
-        let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
-        let w = Workload::generate(&spec);
-        let mut serial = crate::shard::ShardedMethod::new(4, factory);
-        let a = run_workload(&mut serial, &w).unwrap();
-        let mut concurrent = crate::shard::ShardedMethod::new(4, factory);
-        let b = run_stream_sharded(
-            &mut concurrent,
-            crate::workload::OpStream::new(&spec),
-            257, // deliberately odd batch size so batches straddle transitions
-        )
-        .unwrap();
-        assert_same_measurements(&a, &b);
-    }
-
-    #[test]
-    fn run_stream_sharded_pooled_matches_serial_sharded() {
-        // Force the persistent pool (the container may have 1 core, which
-        // would make `new()` run inline) and fewer workers than shards.
-        let spec = WorkloadSpec {
-            initial_records: 400,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 43,
-            ..Default::default()
+        let stream = || OpStream::new(&spec);
+        let sharded = |threads| {
+            ShardedMethod::with_threads(4, threads, |_| -> Box<dyn AccessMethod> {
+                Box::new(Amp2::new())
+            })
         };
-        let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
-        let w = Workload::generate(&spec);
-        let mut serial = crate::shard::ShardedMethod::with_threads(4, 1, factory);
-        let a = run_workload(&mut serial, &w).unwrap();
-        for threads in [2, 4] {
-            let mut pooled = crate::shard::ShardedMethod::with_threads(4, threads, factory);
-            let b = run_stream_sharded(&mut pooled, crate::workload::OpStream::new(&spec), 257)
-                .unwrap();
-            assert!(pooled.pool_running(), "threads={threads}");
-            assert_same_measurements(&a, &b);
-        }
-    }
+        // Deliberately odd, so batches straddle class transitions.
+        let batch = 257;
+        let workload = Workload::generate(&spec);
+        let plain = run_workload(&mut Amp2::new(), &workload).unwrap();
+        let serial_sharded = run_workload(&mut sharded(1), &workload).unwrap();
 
-    #[test]
-    fn traced_sharded_run_matches_untraced_and_fills_latency_quantiles() {
-        let spec = WorkloadSpec {
-            initial_records: 400,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 51,
-            ..Default::default()
+        type Run<'a> = Box<dyn Fn(&mut TraceCollector) -> Vec<RumReport> + 'a>;
+        let suite = |threads| -> Vec<RumReport> {
+            let mut methods: Vec<Box<dyn AccessMethod>> = vec![
+                Box::new(Amp2::named("zeta")),
+                Box::new(Amp2::named("alpha")),
+                Box::new(Amp2::named("mid")),
+            ];
+            let reports = run_suite(&mut methods, &spec, threads).unwrap();
+            let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
+            assert_eq!(names, ["alpha", "mid", "zeta"], "reports sorted by name");
+            reports
         };
-        let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
-        let mut plain = crate::shard::ShardedMethod::with_threads(4, 2, factory);
-        let a = run_stream_sharded(&mut plain, crate::workload::OpStream::new(&spec), 257).unwrap();
-        assert_eq!((a.p50_ns, a.p99_ns), (0, 0), "untraced quantiles stay 0");
-
-        for threads in [1, 2] {
-            let mut traced = crate::shard::ShardedMethod::with_threads(4, threads, factory);
-            let mut trace = crate::trace::TraceCollector::new(500, crate::trace::noop_sink());
-            let b = run_stream_sharded_traced(
-                &mut traced,
-                crate::workload::OpStream::new(&spec),
-                257,
-                &mut trace,
-            )
-            .unwrap();
-            assert_same_measurements(&a, &b);
-            assert!(b.p50_ns > 0, "threads={threads}: p50 must be measured");
-            assert!(b.p99_ns >= b.p50_ns, "threads={threads}");
-            assert_eq!(
-                trace.windowed_sum(),
-                b.read_costs.add(&b.write_costs),
-                "threads={threads}: window deltas must sum to the op-phase totals"
-            );
-            let total_ops: u64 = trace.windows().iter().map(|w| w.ops).sum();
-            assert_eq!(total_ops, 2000, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_suite_stream_matches_run_suite() {
-        let spec = WorkloadSpec {
-            initial_records: 200,
-            operations: 600,
-            mix: OpMix::BALANCED,
-            seed: 17,
-            ..Default::default()
+        let pooled = |threads, trace: Option<&mut TraceCollector>| {
+            let mut m = sharded(threads);
+            let report = match trace {
+                Some(t) => run_stream_sharded_traced(&mut m, stream(), batch, t),
+                None => run_stream_sharded(&mut m, stream(), batch),
+            };
+            assert_eq!(m.pool_running(), threads > 1, "threads={threads}");
+            vec![report.unwrap()]
         };
-        let w = Workload::generate(&spec);
-        let make_suite = || -> Vec<Box<dyn AccessMethod>> {
-            vec![Box::new(Amp2::named("b")), Box::new(Amp2::named("a"))]
-        };
-        let serial = run_suite(&mut make_suite(), &w).unwrap();
-        let streamed = run_suite_stream(&mut make_suite(), &spec, 2).unwrap();
-        assert_eq!(serial.len(), streamed.len());
-        for (s, p) in serial.iter().zip(&streamed) {
-            assert_same_measurements(s, p);
+        // (entry point, expected report, traced?, run)
+        let rows: Vec<(&str, &RumReport, bool, Run)> = vec![
+            (
+                "run_stream",
+                &plain,
+                false,
+                Box::new(|_| vec![run_stream(&mut Amp2::new(), stream()).unwrap()]),
+            ),
+            (
+                "run_stream_traced",
+                &plain,
+                true,
+                Box::new(|t| vec![run_stream_traced(&mut Amp2::new(), stream(), t, None).unwrap()]),
+            ),
+            (
+                "run_stream_traced + plane",
+                &plain,
+                true,
+                Box::new(|t| {
+                    let plane = MetricsPlane::new();
+                    let mut m = Amp2::new();
+                    let report = run_stream_traced(&mut m, stream(), t, Some(&plane)).unwrap();
+                    let debt = plane.ledger().snapshot();
+                    assert!(debt.conserves(&m.tracker().snapshot()), "ledger conserves");
+                    vec![report]
+                }),
+            ),
+            (
+                "run_stream_autotuned",
+                &plain,
+                true,
+                Box::new(|t| {
+                    let cfg = AutoTuneConfig {
+                        warmup_windows: 1,
+                        settle_windows: 0,
+                        ..Default::default()
+                    };
+                    let mut tuner = AutoTuner::new(
+                        cfg,
+                        &OpMix::READ_ONLY,
+                        crate::advisor::ProfileStore::default(),
+                        Default::default(),
+                        Default::default(),
+                    );
+                    let (report, summary) =
+                        run_stream_autotuned(&mut Amp2::new(), stream(), &mut tuner, t).unwrap();
+                    assert!(summary.noop_decisions > 0, "the window hook must decide");
+                    assert_eq!(summary.migrations, 0);
+                    vec![report]
+                }),
+            ),
+            ("run_suite, 1 thread", &plain, false, Box::new(|_| suite(1))),
+            (
+                "run_suite, 3 threads",
+                &plain,
+                false,
+                Box::new(|_| suite(3)),
+            ),
+            (
+                "run_stream_sharded, inline",
+                &serial_sharded,
+                false,
+                Box::new(|_| pooled(1, None)),
+            ),
+            (
+                "run_stream_sharded, pooled",
+                &serial_sharded,
+                false,
+                Box::new(|_| pooled(2, None)),
+            ),
+            (
+                "run_stream_sharded_traced, inline",
+                &serial_sharded,
+                true,
+                Box::new(|t| pooled(1, Some(t))),
+            ),
+            (
+                "run_stream_sharded_traced, pooled",
+                &serial_sharded,
+                true,
+                Box::new(|t| pooled(4, Some(t))),
+            ),
+        ];
+        for (name, expected, traced, run) in rows {
+            let mut trace = TraceCollector::new(100, noop_sink());
+            for report in run(&mut trace) {
+                assert_same_measurements(name, expected, &report);
+                if traced {
+                    assert!(report.p50_ns > 0, "{name}: p50 must be measured");
+                    assert!(report.p99_ns >= report.p50_ns, "{name}");
+                    assert_eq!(
+                        trace.windowed_sum(),
+                        report.read_costs.add(&report.write_costs),
+                        "{name}: window deltas must sum to the op-phase totals"
+                    );
+                    let window_ops: u64 = trace.windows().iter().map(|w| w.ops).sum();
+                    assert_eq!(window_ops, 2000, "{name}");
+                } else {
+                    assert_eq!((report.p50_ns, report.p99_ns), (0, 0), "{name}: untraced");
+                }
+            }
         }
     }
 
@@ -1431,13 +1258,13 @@ mod tests {
 
     #[test]
     fn suite_survives_a_panicking_member() {
-        let w = Workload::generate(&WorkloadSpec {
+        let spec = WorkloadSpec {
             initial_records: 100,
             operations: 400,
             mix: OpMix::BALANCED,
             seed: 13,
             ..Default::default()
-        });
+        };
         let make_suite = || -> Vec<Box<dyn AccessMethod>> {
             vec![
                 Box::new(Fused::new("panicker", 10, true)),
@@ -1446,13 +1273,10 @@ mod tests {
             ]
         };
         for threads in [1, 3] {
-            let reports = run_suite_with_threads(&mut make_suite(), &w, threads).unwrap();
+            let reports = run_suite(&mut make_suite(), &spec, threads).unwrap();
             let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
             assert_eq!(names, ["survivor"], "threads={threads}");
         }
-        let reports = run_suite(&mut make_suite(), &w).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].method, "survivor");
     }
 
     #[test]

@@ -211,23 +211,7 @@ fn execute_ops(
         } else {
             None
         };
-        match op {
-            Op::Get(key) => {
-                method.get(key)?;
-            }
-            Op::Range(lo, hi) => {
-                method.range(lo, hi)?;
-            }
-            Op::Insert(key, value) => {
-                method.insert(key, value)?;
-            }
-            Op::Update(key, value) => {
-                method.update(key, value)?;
-            }
-            Op::Delete(key) => {
-                method.delete(key)?;
-            }
-        }
+        op.apply(method)?;
         if let (Some(hist), Some(started)) = (latency.as_mut(), started) {
             hist.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
@@ -305,16 +289,34 @@ pub struct PendingBatch {
 
 enum BatchState {
     /// Executed synchronously (no pool): deltas already absorbed.
-    Done {
-        outcome: Result<()>,
-        latency: Option<LatencyHistogram>,
-    },
+    Done(Folded),
     /// In flight on the pool; completions pending on `rx`.
     InFlight {
         rx: Receiver<Completion>,
         expected: usize,
-        timed: bool,
+        folded: Folded,
     },
+}
+
+/// The running fold of one dispatch's completions, taken in shard order
+/// by [`ShardedMethod::fold`]: the first error and, for a timed dispatch,
+/// the merged per-op latencies.
+struct Folded {
+    outcome: Result<()>,
+    latency: Option<LatencyHistogram>,
+}
+
+impl Folded {
+    fn new(timed: bool) -> Folded {
+        Folded {
+            outcome: Ok(()),
+            latency: timed.then(LatencyHistogram::new),
+        }
+    }
+
+    fn into_result(self) -> Result<Option<LatencyHistogram>> {
+        self.outcome.map(|()| self.latency)
+    }
 }
 
 /// `K` instances of an access method behind one [`AccessMethod`] facade,
@@ -645,65 +647,59 @@ impl ShardedMethod {
                 ],
             );
         }
+        let jobs = parts.into_iter().map(JobPayload::Ops).enumerate();
+        self.dispatch(jobs, timed, pooled)
+    }
 
-        if !pooled {
-            // Inline: the exact same job runner the workers use, shard
-            // order, costs folded immediately.
-            let mut outcome: Result<()> = Ok(());
-            let mut merged = if timed {
-                Some(LatencyHistogram::new())
-            } else {
-                None
-            };
-            for (index, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    self.spare.push(part);
-                    continue;
-                }
-                let c = run_shard_job(&self.shards[index], index, JobPayload::Ops(part), timed);
-                self.tracker.absorb(&c.delta);
-                if let Some(buf) = c.recycled {
-                    self.spare.push(buf);
-                }
-                if let (Some(m), Some(h)) = (merged.as_mut(), c.latency.as_ref()) {
-                    m.merge(h);
-                }
-                if outcome.is_ok() {
-                    outcome = c.outcome;
-                }
-            }
-            return Ok(PendingBatch {
-                state: BatchState::Done {
-                    outcome,
-                    latency: merged,
-                },
-            });
-        }
-
-        let (reply, rx) = channel();
+    /// Run one job per `(shard, payload)`: on the pool when `pooled`,
+    /// else inline — the exact same job runner the workers use, in shard
+    /// order, costs folded immediately. An empty op part has nothing to
+    /// run, so its buffer goes straight back to the spares.
+    fn dispatch(
+        &mut self,
+        jobs: impl Iterator<Item = (usize, JobPayload)>,
+        timed: bool,
+        pooled: bool,
+    ) -> Result<PendingBatch> {
+        let mut folded = Folded::new(timed);
+        let replies = pooled.then(channel);
         let mut expected = 0usize;
-        for (index, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                self.spare.push(part);
+        for (index, payload) in jobs {
+            if matches!(&payload, JobPayload::Ops(ops) if ops.is_empty()) {
+                self.spare.extend(recycle(payload));
                 continue;
             }
-            let job = Job {
-                shard: index,
-                payload: JobPayload::Ops(part),
-                timed,
-                reply: reply.clone(),
-            };
-            self.send_job(index, job)?;
-            expected += 1;
+            match &replies {
+                Some((reply, _)) => {
+                    let job = Job {
+                        shard: index,
+                        payload,
+                        timed,
+                        reply: reply.clone(),
+                    };
+                    self.send_job(index, job)?;
+                    expected += 1;
+                }
+                None => {
+                    let c = run_shard_job(&self.shards[index], index, payload, timed);
+                    self.fold(&mut folded, c);
+                }
+            }
         }
-        drop(reply);
-        Ok(PendingBatch {
-            state: BatchState::InFlight {
-                rx,
-                expected,
-                timed,
-            },
-        })
+        let state = match replies {
+            Some((reply, rx)) => {
+                // The workers now hold the only senders, so `rx`
+                // disconnects if one dies before replying.
+                drop(reply);
+                BatchState::InFlight {
+                    rx,
+                    expected,
+                    folded,
+                }
+            }
+            None => BatchState::Done(folded),
+        };
+        Ok(PendingBatch { state })
     }
 
     fn send_job(&self, shard: usize, job: Job) -> Result<()> {
@@ -726,12 +722,12 @@ impl ShardedMethod {
     /// the shards that did finish.
     pub fn finish_batch(&mut self, batch: PendingBatch) -> Result<Option<LatencyHistogram>> {
         match batch.state {
-            BatchState::Done { outcome, latency } => outcome.map(|()| latency),
+            BatchState::Done(folded) => folded.into_result(),
             BatchState::InFlight {
                 rx,
                 expected,
-                timed,
-            } => self.collect(rx, expected, timed),
+                folded,
+            } => self.collect(rx, expected, folded),
         }
     }
 
@@ -740,7 +736,7 @@ impl ShardedMethod {
         &mut self,
         rx: Receiver<Completion>,
         expected: usize,
-        timed: bool,
+        mut folded: Folded,
     ) -> Result<Option<LatencyHistogram>> {
         let k = self.shards.len();
         let mut completions: Vec<Option<Completion>> =
@@ -758,33 +754,32 @@ impl ShardedMethod {
                 Err(_) => break,
             }
         }
-        let mut outcome: Result<()> = if received == expected {
-            Ok(())
-        } else {
-            Err(RumError::Corrupt(
+        if received != expected {
+            folded.outcome = Err(RumError::Corrupt(
                 "a shard worker died before completing its job; its cost delta is lost".into(),
-            ))
-        };
-        let mut merged = if timed {
-            Some(LatencyHistogram::new())
-        } else {
-            None
-        };
-        for c in completions.into_iter().flatten() {
-            self.tracker.absorb(&c.delta);
-            if let Some(buf) = c.recycled {
-                self.spare.push(buf);
-            }
-            if let (Some(m), Some(h)) = (merged.as_mut(), c.latency.as_ref()) {
-                m.merge(h);
-            }
-            if outcome.is_ok() {
-                if let Err(e) = c.outcome {
-                    outcome = Err(e);
-                }
-            }
+            ));
         }
-        outcome.map(|()| merged)
+        for c in completions.into_iter().flatten() {
+            self.fold(&mut folded, c);
+        }
+        folded.into_result()
+    }
+
+    /// Fold one finished job into the wrapper: absorb its cost delta,
+    /// recycle its op buffer, merge its latencies, and keep the first
+    /// error. Every completion of every mode goes through here, in shard
+    /// order.
+    fn fold(&mut self, folded: &mut Folded, c: Completion) {
+        self.tracker.absorb(&c.delta);
+        if let Some(buf) = c.recycled {
+            self.spare.push(buf);
+        }
+        if let (Some(merged), Some(h)) = (folded.latency.as_mut(), c.latency.as_ref()) {
+            merged.merge(h);
+        }
+        if folded.outcome.is_ok() {
+            folded.outcome = c.outcome;
+        }
     }
 }
 
@@ -885,29 +880,10 @@ impl AccessMethod for ShardedMethod {
             let shard = self.shard_of(r.key);
             parts[shard].push(r);
         }
-        if !self.ensure_pool() {
-            let mut outcome: Result<()> = Ok(());
-            for (index, part) in parts.into_iter().enumerate() {
-                let c = run_shard_job(&self.shards[index], index, JobPayload::Load(part), false);
-                self.tracker.absorb(&c.delta);
-                if outcome.is_ok() {
-                    outcome = c.outcome;
-                }
-            }
-            return outcome;
-        }
-        let (reply, rx) = channel();
-        for (index, part) in parts.into_iter().enumerate() {
-            let job = Job {
-                shard: index,
-                payload: JobPayload::Load(part),
-                timed: false,
-                reply: reply.clone(),
-            };
-            self.send_job(index, job)?;
-        }
-        drop(reply);
-        self.collect(rx, k, false).map(|_| ())
+        let pooled = self.ensure_pool();
+        let jobs = parts.into_iter().map(JobPayload::Load).enumerate();
+        let batch = self.dispatch(jobs, false, pooled)?;
+        self.finish_batch(batch).map(drop)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -1022,21 +998,7 @@ mod tests {
 
     fn drive_per_op(m: &mut ShardedMethod, ops: &[Op]) {
         for &op in ops {
-            match op {
-                Op::Get(k) => {
-                    m.get(k).unwrap();
-                }
-                Op::Range(lo, hi) => {
-                    m.range(lo, hi).unwrap();
-                }
-                Op::Insert(k, v) => m.insert(k, v).unwrap(),
-                Op::Update(k, v) => {
-                    m.update(k, v).unwrap();
-                }
-                Op::Delete(k) => {
-                    m.delete(k).unwrap();
-                }
-            }
+            op.apply(m).unwrap();
         }
     }
 
@@ -1102,21 +1064,7 @@ mod tests {
         bare.bulk_load(&records).unwrap();
         sharded.bulk_load(&records).unwrap();
         for &op in &ops {
-            match op {
-                Op::Get(k) => {
-                    bare.get(k).unwrap();
-                }
-                Op::Range(lo, hi) => {
-                    bare.range(lo, hi).unwrap();
-                }
-                Op::Insert(k, v) => bare.insert(k, v).unwrap(),
-                Op::Update(k, v) => {
-                    bare.update(k, v).unwrap();
-                }
-                Op::Delete(k) => {
-                    bare.delete(k).unwrap();
-                }
-            }
+            op.apply(bare.as_mut()).unwrap();
         }
         drive_per_op(&mut sharded, &ops);
         assert_eq!(bare.len(), sharded.len());

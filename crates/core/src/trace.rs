@@ -632,8 +632,8 @@ impl TrajectoryWindow {
 /// Snapshots a [`CostTracker`] every `window` operations and records
 /// per-window RO/UO/MO, cumulative curves, and per-op-class latency
 /// histograms. Drive it through
-/// [`run_workload_traced`](crate::runner::run_workload_traced) /
-/// [`run_stream_traced`](crate::runner::run_stream_traced).
+/// [`run_stream_traced`](crate::runner::run_stream_traced) or the other
+/// traced runners.
 ///
 /// The collector is a pure observer: it reads the tracker and the
 /// method's space profile but never charges either, so a traced run's

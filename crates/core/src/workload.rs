@@ -23,6 +23,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::access::AccessMethod;
+use crate::error::Result;
 use crate::types::{Key, Record, Value};
 
 /// Which live key an operation targets.
@@ -250,6 +252,19 @@ impl Op {
     /// Whether this operation is on the read path (for RO accounting).
     pub fn is_read(&self) -> bool {
         matches!(self, Op::Get(_) | Op::Range(_, _))
+    }
+
+    /// Execute this op against `method` through its instrumented entry
+    /// points, discarding the answer: runners measure costs, not answers.
+    #[inline]
+    pub fn apply(self, method: &mut dyn AccessMethod) -> Result<()> {
+        match self {
+            Op::Get(k) => method.get(k).map(drop),
+            Op::Range(lo, hi) => method.range(lo, hi).map(drop),
+            Op::Insert(k, v) => method.insert(k, v),
+            Op::Update(k, v) => method.update(k, v).map(drop),
+            Op::Delete(k) => method.delete(k).map(drop),
+        }
     }
 }
 

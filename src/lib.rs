@@ -79,10 +79,9 @@ pub mod prelude {
         MetricsSnapshot, OpClass,
     };
     pub use rum_core::runner::{
-        measure_ops, parallel_map, run_stream, run_stream_autotuned, run_stream_metered,
-        run_stream_sharded, run_stream_sharded_traced, run_stream_traced, run_suite,
-        run_suite_parallel, run_suite_stream, run_suite_with_threads, run_workload,
-        run_workload_traced, RumReport, DEFAULT_STREAM_BATCH,
+        default_threads, measure_ops, parallel_map, run_stream, run_stream_autotuned,
+        run_stream_sharded, run_stream_sharded_traced, run_stream_traced, run_suite, run_workload,
+        RumReport, DEFAULT_STREAM_BATCH,
     };
     pub use rum_core::trace::{
         noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector,
@@ -187,10 +186,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let workload = Workload::generate(&spec);
         let mut suite = standard_suite();
         let expected = suite.len();
-        let reports = run_suite_parallel(&mut suite, &workload)
+        let reports = run_suite(&mut suite, &spec, default_threads())
             .unwrap_or_else(|e| panic!("suite run failed: {e}"));
         assert_eq!(reports.len(), expected);
         for report in reports {

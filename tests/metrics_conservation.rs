@@ -52,8 +52,13 @@ fn metered_run(name: &str) -> (RumReport, DebtSnapshot, CostSnapshot) {
     let sink = plane.sink();
     method.set_trace_sink(sink.clone());
     let mut trace = TraceCollector::new(256, sink);
-    let report = run_stream_metered(method.as_mut(), OpStream::new(&spec()), &mut trace, &plane)
-        .unwrap_or_else(|e| panic!("{name}: metered run failed: {e}"));
+    let report = run_stream_traced(
+        method.as_mut(),
+        OpStream::new(&spec()),
+        &mut trace,
+        Some(&plane),
+    )
+    .unwrap_or_else(|e| panic!("{name}: metered run failed: {e}"));
     let totals = method.tracker().snapshot();
     (report, plane.ledger().snapshot(), totals)
 }

@@ -1,8 +1,9 @@
-//! The parallel harness's contract: `run_suite_parallel` produces exactly
-//! the same reports as the serial `run_suite` — same methods, same order
-//! (sorted by name), same costs and amplifications — with only the
-//! wall-clock fields free to differ. Checked across a balanced mix, a
-//! read-heavy mix, and a skewed (zipfian) stream.
+//! The suite harness's contract: `run_suite` produces exactly the same
+//! reports whatever its thread count, and the same as driving each method
+//! serially through `run_workload` on the materialized workload — same
+//! methods, same order (sorted by name), same costs and amplifications —
+//! with only the wall-clock fields free to differ. Checked across a
+//! balanced mix, a read-heavy mix, and a skewed (zipfian) stream.
 
 use rum::prelude::*;
 
@@ -84,12 +85,16 @@ fn parallel_suite_reports_match_serial_bit_for_bit() {
     ];
     for spec in specs {
         let workload = Workload::generate(&spec);
-        let serial = run_suite(&mut rum::standard_suite(), &workload).expect("serial");
-        // An awkward worker count (3) exercises the queue re-balancing;
-        // default_threads() covers whatever the machine really has.
-        for threads in [3, rum::core::runner::default_threads()] {
-            let parallel = run_suite_with_threads(&mut rum::standard_suite(), &workload, threads)
-                .expect("parallel");
+        let mut serial: Vec<RumReport> = rum::standard_suite()
+            .iter_mut()
+            .map(|m| run_workload(m.as_mut(), &workload).expect("serial"))
+            .collect();
+        serial.sort_by(|a, b| a.method.cmp(&b.method));
+        // One worker runs inline; an awkward worker count (3) exercises
+        // the queue re-balancing; default_threads() covers whatever the
+        // machine really has.
+        for threads in [1, 3, default_threads()] {
+            let parallel = run_suite(&mut rum::standard_suite(), &spec, threads).expect("parallel");
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_reports_identical(s, p);

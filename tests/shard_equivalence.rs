@@ -309,21 +309,7 @@ fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
         sharded.execute_batch(chunk).unwrap();
     }
     for &op in &follow_up {
-        match op {
-            Op::Get(k) => {
-                control.get(k).unwrap();
-            }
-            Op::Range(lo, hi) => {
-                control.range(lo, hi).unwrap();
-            }
-            Op::Insert(k, v) => control.insert(k, v).unwrap(),
-            Op::Update(k, v) => {
-                control.update(k, v).unwrap();
-            }
-            Op::Delete(k) => {
-                control.delete(k).unwrap();
-            }
-        }
+        op.apply(&mut control).unwrap();
     }
     assert_eq!(
         sharded.tracker().since(&healed_before),

@@ -49,8 +49,13 @@ fn noop_traced_runs_are_bit_identical_and_windows_partition_the_op_phase() {
         let name = traced_method.name();
 
         let mut trace = TraceCollector::new(512, noop_sink());
-        let traced = run_workload_traced(traced_method.as_mut(), &workload, &mut trace)
-            .unwrap_or_else(|e| panic!("{name}: traced run failed: {e}"));
+        let traced = run_stream_traced(
+            traced_method.as_mut(),
+            OpStream::new(&spec),
+            &mut trace,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{name}: traced run failed: {e}"));
         let untraced = run_workload(untraced_method.as_mut(), &workload)
             .unwrap_or_else(|e| panic!("{name}: untraced run failed: {e}"));
 
